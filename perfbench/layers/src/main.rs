@@ -1,10 +1,13 @@
 //! Benchmark helper for csmaprobe, driven by `perfbench/run.py`.
 //!
-//! Two subcommands:
+//! Three subcommands:
 //!
-//! * `mix --seed S --sessions N --reps R` prints the first `N` sessions
-//!   of the deterministic `service::mix` as wire `submit` lines, so the
-//!   serve workload's client sends generated inputs and nothing else.
+//! * `mix --seed S --sessions N --reps R` prints the serve workload's
+//!   first `N` sessions, drawn from the deterministic `service::mix`,
+//!   as wire `submit` lines, so its client sends generated inputs and
+//!   nothing else.
+//! * `batch --seed S --sessions N --reps R --jobs J --out FILE` writes
+//!   the one-shot reference table of the same sessions.
 //! * `trace --seed S --workers W --out FILE` runs the per-layer trace:
 //!   every layer is timed from outside, by wrapping calls into its
 //!   public functions in spans. Spans are kept in memory and written to
@@ -38,12 +41,13 @@ use csmaprobe_traffic::probe::ProbeTrain;
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::io::{BufReader, Write};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
         "usage: perfbench-layers mix --seed S --sessions N --reps R\n\
-         \x20      perfbench-layers batch --seed S --sessions N --reps R --out FILE\n\
+         \x20      perfbench-layers batch --seed S --sessions N --reps R --jobs J --out FILE\n\
          \x20      perfbench-layers trace --seed S --workers W --out FILE"
     );
     std::process::exit(2);
@@ -76,8 +80,14 @@ fn main() {
             mix(parse(&v[0]), parse(&v[1]), parse(&v[2]));
         }
         Some("batch") => {
-            let v = flags(&args[2..], &["seed", "sessions", "reps", "out"]);
-            batch(parse(&v[0]), parse(&v[1]), parse(&v[2]), &v[3]);
+            let v = flags(&args[2..], &["seed", "sessions", "reps", "jobs", "out"]);
+            batch(
+                parse(&v[0]),
+                parse(&v[1]),
+                parse(&v[2]),
+                parse(&v[3]),
+                &v[4],
+            );
         }
         Some("trace") => {
             let v = flags(&args[2..], &["seed", "workers", "out"]);
@@ -94,40 +104,28 @@ fn mix_config(reps: usize) -> MixConfig {
     }
 }
 
-/// Sessions per composition block of the serve workload's mix.
-const BLOCK: usize = 128;
+/// Replications per serve session, as the repository's service jobs
+/// drive `loadgen` (`--reps 24`).
+const SERVE_REPS: usize = 24;
 
-/// Tool shares of the serve workload's mix, in eighths: mostly
-/// single-train estimates, fewer searching tools. With the mix's 7/8
-/// wired links this puts about 2/3 of the sessions on cheap wired
-/// trains, so the median latency lies inside that class rather than on
-/// the gap between cheap and searching sessions.
-const TOOL_EIGHTHS: [(ToolKind, usize); 4] = [
-    (ToolKind::Train, 3),
-    (ToolKind::Chirp, 3),
-    (ToolKind::Slops, 1),
-    (ToolKind::Topp, 1),
-];
+/// Sessions per composition block of the serve workload: the smallest
+/// block that holds every (link, train, tool) class of the default mix
+/// in exactly its share (7/8 `wired`, 1/8 `wlan_low`, trains and tools
+/// uniform).
+const BLOCK: usize = 64;
 
 /// The serve workload's sessions: the `service::mix` sequence for
 /// `seed`, keeping each drawn session only while its (link, train,
 /// tool) class has room in the current block of [`BLOCK`] sessions.
-/// Every block then has the same composition — link and train shares
-/// as the mix draws them, tool shares as [`TOOL_EIGHTHS`] — so the
-/// seed changes which sessions run and in what order, not how much
-/// work of each kind a run holds.
+/// Every block then holds each class in the share the mix draws it
+/// with, so the seed changes which sessions run and in what order, not
+/// how much work of each kind a run holds.
 fn serve_mix(seed: u64, sessions: usize, reps: usize) -> Vec<SubmitRequest> {
     let cfg = mix_config(reps);
-    let links = cfg.links.len();
-    let trains = cfg.trains.len();
+    let classes = cfg.links.len() * cfg.trains.len() * cfg.tools.len();
     let quota = |req: &SubmitRequest| -> usize {
         let l = cfg.links.iter().filter(|x| **x == req.link).count();
-        let tool = ToolKind::parse(&req.tool).expect("mix tool");
-        let t = TOOL_EIGHTHS
-            .iter()
-            .find(|(k, _)| *k == tool)
-            .map_or(0, |(_, n)| *n);
-        BLOCK * l * t / (links * trains * 8)
+        BLOCK * l / classes
     };
     let mut picked = Vec::with_capacity(sessions);
     let mut in_block: BTreeMap<(String, String, String), usize> = BTreeMap::new();
@@ -173,24 +171,51 @@ fn mix(seed: u64, sessions: usize, reps: usize) {
 
 /// The one-shot reference table of the first `sessions` serve-mix
 /// sessions, built as `loadgen --batch` builds its table: `one_shot`
-/// per session, `row_json` rows, one finalized `RowSink`.
-fn batch(seed: u64, sessions: usize, reps: usize, out: &str) {
+/// per session, `row_json` rows, one finalized `RowSink`. The sessions
+/// are spread over `jobs` threads; rows are appended in mix order.
+fn batch(seed: u64, sessions: usize, reps: usize, jobs: usize, out: &str) {
     let fail = |what: String| -> ! {
         eprintln!("perfbench-layers: {what}");
         std::process::exit(1);
     };
-    let rows = format!("{out}.rows.tmp");
-    let mut sink = RowSink::create(&rows).unwrap_or_else(|e| fail(format!("{rows}: {e}")));
-    for req in serve_mix(seed, sessions, reps) {
-        let spec = SessionSpec::resolve(&req).unwrap_or_else(|e| fail(e.detail()));
-        sink.append(&row_json(&spec, &one_shot(&spec)))
-            .unwrap_or_else(|e| fail(format!("{rows}: {e}")));
+    let specs: Vec<SessionSpec> = serve_mix(seed, sessions, reps)
+        .iter()
+        .map(|req| SessionSpec::resolve(req).unwrap_or_else(|e| fail(e.detail())))
+        .collect();
+    let next = AtomicUsize::new(0);
+    let mut rows = vec![String::new(); specs.len()];
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs.max(1))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(spec) = specs.get(i) else {
+                            return done;
+                        };
+                        done.push((i, row_json(spec, &one_shot(spec))));
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            for (i, row) in w.join().expect("batch worker") {
+                rows[i] = row;
+            }
+        }
+    });
+    let tmp = format!("{out}.rows.tmp");
+    let mut sink = RowSink::create(&tmp).unwrap_or_else(|e| fail(format!("{tmp}: {e}")));
+    for row in &rows {
+        sink.append(row)
+            .unwrap_or_else(|e| fail(format!("{tmp}: {e}")));
     }
     let table = sink
         .finalize()
-        .unwrap_or_else(|e| fail(format!("{rows}: {e}")));
+        .unwrap_or_else(|e| fail(format!("{tmp}: {e}")));
     std::fs::write(out, table).unwrap_or_else(|e| fail(format!("{out}: {e}")));
-    let _ = std::fs::remove_file(&rows);
+    let _ = std::fs::remove_file(&tmp);
 }
 
 // ---------------------------------------------------------------------
@@ -855,7 +880,7 @@ fn desim_layers(tr: &mut Tracer, led: &mut Ledger, seed: u64, workers: usize) {
 fn service_layers(tr: &mut Tracer, led: &mut Ledger, seed: u64, out: &str) {
     const FRAMES: u64 = 20_000;
     let mut wire = Vec::new();
-    for req in serve_mix(seed, FRAMES as usize, 8) {
+    for req in serve_mix(seed, FRAMES as usize, SERVE_REPS) {
         wire.extend_from_slice(submit_line(&req).as_bytes());
         wire.push(b'\n');
     }
@@ -883,7 +908,7 @@ fn service_layers(tr: &mut Tracer, led: &mut Ledger, seed: u64, out: &str) {
     );
 
     const SESSIONS: usize = 128;
-    let specs: Vec<SessionSpec> = serve_mix(seed, SESSIONS, 8)
+    let specs: Vec<SessionSpec> = serve_mix(seed, SESSIONS, SERVE_REPS)
         .iter()
         .map(|req| SessionSpec::resolve(req).expect("the mix resolves"))
         .collect();
@@ -983,24 +1008,42 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_block_of_the_serve_mix_has_the_same_composition() {
-        let mix = serve_mix(11, 3 * BLOCK, 8);
+    fn every_block_of_the_serve_mix_holds_the_mix_shares() {
+        let mix = serve_mix(11, 3 * BLOCK, SERVE_REPS);
         let classes = |block: &[SubmitRequest]| {
-            let mut c: BTreeMap<(String, String), usize> = BTreeMap::new();
+            let mut c: BTreeMap<(String, String, String), usize> = BTreeMap::new();
             for r in block {
-                *c.entry((r.link.clone(), r.tool.clone())).or_insert(0) += 1;
+                *c.entry((r.link.clone(), r.train.clone(), r.tool.clone()))
+                    .or_insert(0) += 1;
             }
             c
         };
-        let first = classes(&mix[..BLOCK]);
-        assert_eq!(first[&("wired".to_string(), "train".to_string())], 42);
-        assert_eq!(first[&("wlan_low".to_string(), "slops".to_string())], 2);
         for block in mix.chunks(BLOCK) {
-            assert_eq!(classes(block), first);
+            let c = classes(block);
+            // 2 links x 2 trains x 4 tools, wired 7 times as often.
+            assert_eq!(c.len(), 16);
+            for ((link, _, _), n) in c {
+                assert_eq!(n, if link == "wired" { 7 } else { 1 }, "{link}");
+            }
         }
-        // Ids stay unique and ascending: they are mix indices.
+        // The sessions are mix sessions, in mix order, with their ids.
+        let cfg = mix_config(SERVE_REPS);
         assert!(mix.windows(2).all(|w| w[0].cell < w[1].cell));
-        assert_eq!(serve_mix(11, BLOCK, 8)[..], mix[..BLOCK]);
+        for req in &mix {
+            assert_eq!(*req, session_request(&cfg, 11, req.cell));
+        }
+        assert_eq!(serve_mix(11, BLOCK, SERVE_REPS)[..], mix[..BLOCK]);
+    }
+
+    #[test]
+    fn mix_lines_parse_back_to_the_sessions() {
+        for req in serve_mix(11, 64, SERVE_REPS) {
+            let line = submit_line(&req);
+            let Ok(Request::Submit(parsed)) = Request::parse(&line) else {
+                panic!("{line} does not parse as a submit");
+            };
+            assert_eq!(parsed, req);
+        }
     }
 
     #[test]

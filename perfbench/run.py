@@ -28,8 +28,8 @@ See perfbench/README.md for why each workload and metric exists.
 
 import argparse
 import hashlib
+import heapq
 import json
-import math
 import os
 import platform
 import re
@@ -59,8 +59,9 @@ HELD_OUT_SEED = 1_000_000
 # The repository's default figure seed: the golden payload
 # BENCH_baseline.json is the scale-1 registry run at this seed.
 DEFAULT_SEED = 0xC5AA2009
-# Launches of the program per run that only time its set-up.
-SETUP_SAMPLES = 9
+# Launches of the program that only time its set-up, taken before each
+# program run of a batch workload and before and after the serve daemon.
+SETUP_SAMPLES = 25
 
 # The grid workload: the full catalog campaign.
 GRID_AXES = [
@@ -72,17 +73,28 @@ GRID_AXES = [
 GRID_CELLS = 4 * 3 * 4
 GRID_REFERENCE = BENCH / "ref" / "grid_default_seed.json"
 
-# The serve workload: mix sessions replicate SERVE_REPS tool runs; the
-# nominal rate is in sessions per second, the ladder steps are shares of
-# the capacity a burst of SERVE_BURST sessions shows, and a step passes
-# while its p99 latency stays within SERVE_P99_LIMIT_S.
-SERVE_REPS = 8
-SERVE_NOMINAL_SPS = 100.0
-SERVE_BURST = 256
-SERVE_LADDER_SHARES = (0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4)
+# The serve workload: the repository's `service::mix` sessions at the
+# replications its service jobs drive `loadgen` with, drawn in blocks
+# that hold each session class in its mix share (see perfbench/layers).
+# The nominal rate is in sessions per second, about 0.4 of the capacity
+# measured on this traffic (see README.md). Half the run goes to it, in
+# up to SERVE_ROUNDS segments; each is followed by a burst of
+# SERVE_BURST_BLOCKS blocks of sessions submitted at once. The client
+# polls each outstanding session every SERVE_POLL_S, at most one poll
+# every SERVE_POLL_GAP_S over all sessions.
+SERVE_REPS = 24
+SERVE_NOMINAL_SPS = 40.0
+SERVE_NOMINAL_SHARE = 0.5
+SERVE_ROUNDS = 12
+SERVE_BURST_BLOCKS = 1
 SERVE_P99_LIMIT_S = 0.25
 SERVE_POLL_S = 0.005
-MIX_BLOCK = 128
+SERVE_POLL_GAP_S = 0.002
+# Sessions per composition block of the mix (BLOCK in perfbench/layers).
+MIX_BLOCK = 64
+# Half the mix's tools estimate from one train; latency_p50_s on serve
+# is the median over their sessions (see README.md).
+SERVE_SINGLE_TRAIN_TOOLS = ("train", "chirp")
 
 
 def log(msg):
@@ -294,7 +306,9 @@ def batch_metrics(iterations, setups):
     process that completes a fixed set of jobs, all due at its spawn.
     The default-seed gate run counts as one more sample: it does the
     same work on another seed, and per-process noise on a shared host
-    (about 15 % run to run) needs every sample a run can give."""
+    (about 15 % run to run) needs every sample a run can give. Set-up
+    is the median of the launches stopped once set up: a few
+    milliseconds each, so a run takes many of them."""
     return {
         "setup_s": median(setups),
         "cpu_s": median(i["cpu"] for i in iterations),
@@ -336,15 +350,23 @@ def figures_iteration(seed, tally):
     tally.gate(code in (0, 1) and figures > 0 and figures == len(done),
                f"all_figures seed {seed}: exit {code}, {figures} figures")
     return {"wall": wall, "cpu": cpu, "rss": rss, "done": done or [wall],
-            "setup": proc.setup_s(), "payload": strip_timing(payload),
+            "payload": strip_timing(payload),
             "checks": len(checks), "passed": checks.count("true")}
 
 
 def run_figures(seed, seconds, tally):
+    setups = []
+
+    def one(s):
+        cmd = [str(binary("all_figures")), "--scale", "1", "--seed", str(s)]
+        for _ in range(SETUP_SAMPLES):
+            setups.append(setup_only(cmd, WORK, child_env(CSMAPROBE_WORKERS=1)))
+        return figures_iteration(s, tally)
+
     # Warm-up and golden gate at the default seed: every qualitative
     # check passes and the payload equals the golden one byte for byte
     # once the timing channels are stripped.
-    golden = figures_iteration(DEFAULT_SEED, tally)
+    golden = one(DEFAULT_SEED)
     tally.gate(golden["passed"] == golden["checks"] > 0,
                f"default seed: {golden['passed']}/{golden['checks']} checks pass",
                count=max(golden["checks"], 1),
@@ -356,14 +378,10 @@ def run_figures(seed, seconds, tally):
     # it, so the gate there is reproducibility; the qualitative checks
     # are statistical tests whose outcome at another seed is reported,
     # not counted (a check can miss by Monte-Carlo noise alone).
-    its = measure_loop(seconds, lambda: figures_iteration(seed, tally))
+    its = measure_loop(seconds, lambda: one(seed))
     for it in its[1:]:
         tally.gate(it["payload"] == its[0]["payload"],
                    f"seed {seed} payload changed between iterations")
-    cmd = [str(binary("all_figures")), "--scale", "1", "--seed", str(seed)]
-    setups = [setup_only(cmd, WORK, child_env(CSMAPROBE_WORKERS=1))
-              for _ in range(SETUP_SAMPLES)]
-    setups += [it["setup"] for it in its if it["setup"] is not None]
     return batch_metrics([golden] + its, setups), {
         "checks_passing_at_seed": f"{its[0]['passed']}/{its[0]['checks']}"}
 
@@ -387,12 +405,19 @@ def grid_cmd(seed):
             "--out", "grid_rows.jsonl", "--table", "grid.json"]
 
 
-def grid_iteration(seed, tally):
+def grid_dir():
+    """The grid's working directory, without the outputs of an earlier
+    launch (which a new one would try to resume)."""
     d = WORK / "grid"
     d.mkdir(parents=True, exist_ok=True)
     for name in ("grid_rows.jsonl", "grid.json"):
         if (d / name).exists():
             (d / name).unlink()
+    return d
+
+
+def grid_iteration(seed, tally):
+    d = grid_dir()
     proc = Proc(grid_cmd(seed), d, child_env())
     code, wall, cpu, rss = proc.wait()
     table = (d / "grid.json").read_text() if (d / "grid.json").exists() else ""
@@ -406,21 +431,25 @@ def grid_iteration(seed, tally):
     no_estimate = sum(int(x) for x in re.findall(r'"failed":(\d+)', table))
     done = [t for t, line in proc.lines if GRID_CELL_DONE.match(line)]
     return {"wall": wall, "cpu": cpu, "rss": rss, "done": done or [wall],
-            "setup": proc.setup_s(), "table": table, "no_estimate": no_estimate}
+            "table": table, "no_estimate": no_estimate}
 
 
 def run_grid(seed, seconds, tally):
-    golden = grid_iteration(DEFAULT_SEED, tally)
+    setups = []
+
+    def one(s):
+        for _ in range(SETUP_SAMPLES):
+            setups.append(setup_only(grid_cmd(s), grid_dir(), child_env()))
+        return grid_iteration(s, tally)
+
+    golden = one(DEFAULT_SEED)
     tally.gate(GRID_REFERENCE.is_file()
                and strip_provenance(golden["table"]) == GRID_REFERENCE.read_text(),
                "grid table at the default seed differs from the stored reference")
-    its = measure_loop(seconds, lambda: grid_iteration(seed, tally))
+    its = measure_loop(seconds, lambda: one(seed))
     for it in its[1:]:
         tally.gate(it["table"] == its[0]["table"],
                    f"seed {seed} grid table changed between iterations")
-    setups = [setup_only(grid_cmd(seed), WORK / "grid", child_env())
-              for _ in range(SETUP_SAMPLES)]
-    setups += [it["setup"] for it in its if it["setup"] is not None]
     return batch_metrics([golden] + its, setups), {
         "tool_runs_without_estimate": its[0]["no_estimate"]}
 
@@ -477,11 +506,16 @@ def open_loop(daemon, lines, rate, tally):
     """Submit `lines` at `rate` sessions/s on a fixed schedule, whatever
     the daemon's progress; poll until every session is terminal.
     Latency runs from the moment a session was due to its completion:
-    the lateness of its submit plus the daemon's submit-to-done time."""
+    the lateness of its submit plus the daemon's own submit-to-done
+    time from the poll reply, so the poll period does not quantise it.
+    Returns the latency of each done session by id, in completion
+    order, and the lateness of each submit."""
     t0 = time.perf_counter() + 0.01
     due = [t0 + i / rate for i in range(len(lines))]
-    outstanding = {}  # id -> (due, sent, next poll)
-    latency, lag = [], []
+    outstanding = {}  # id -> (due, sent)
+    polls = []  # heap of (next poll, id)
+    next_slot = 0.0
+    latency, lag = {}, []
     i = 0
     while i < len(lines) or outstanding:
         now = time.perf_counter()
@@ -490,30 +524,29 @@ def open_loop(daemon, lines, rate, tally):
             sid = json.loads(lines[i])["id"]
             tally.gate(reply.get("ok") is True, f"submit {sid} refused: {reply}")
             if reply.get("ok"):
-                outstanding[sid] = (due[i], now, now + SERVE_POLL_S)
+                outstanding[sid] = (due[i], now)
+                heapq.heappush(polls, (now + SERVE_POLL_S, sid))
             lag.append(now - due[i])
             i += 1
             continue
-        ready = [sid for sid, (_, _, nxt) in outstanding.items() if nxt <= now]
-        if ready:
-            sid = min(ready, key=lambda s: outstanding[s][2])
+        if polls and polls[0][0] <= now and next_slot <= now:
+            _, sid = heapq.heappop(polls)
             reply = daemon.rpc(json.dumps({"op": "poll", "id": sid}))
-            d, sent, _ = outstanding[sid]
+            next_slot = time.perf_counter() + SERVE_POLL_GAP_S
             state = reply.get("state")
             if state in ("queued", "running"):
-                outstanding[sid] = (d, sent, time.perf_counter() + SERVE_POLL_S)
+                heapq.heappush(polls, (time.perf_counter() + SERVE_POLL_S, sid))
             else:
-                del outstanding[sid]
+                d, sent = outstanding.pop(sid)
                 tally.gate(state == "done", f"session {sid} ended {reply}",
                            count=0, failures=int(state != "done"))
                 if state == "done":
-                    latency.append(sent - d + reply["elapsed_s"])
+                    latency[sid] = sent - d + reply["elapsed_s"]
             continue
-        pending = [nxt for _, _, nxt in outstanding.values()]
+        wake = [next_slot, polls[0][0]] if polls else [now]
         if i < len(lines):
-            pending.append(due[i])
-        wake = min(pending, default=now)
-        time.sleep(max(0.0, min(wake - now, 0.002)))
+            wake.append(due[i])
+        time.sleep(max(0.0, min(min(wake) - now, 0.002)))
     return latency, lag
 
 
@@ -531,90 +564,73 @@ def batch_table(seed, sessions):
     path = WORK / "serve" / "batch_table.jsonl"
     r = subprocess.run([str(binary("perfbench-layers")), "batch", "--seed", str(seed),
                         "--sessions", str(sessions), "--reps", str(SERVE_REPS),
-                        "--out", str(path)], capture_output=True, text=True,
-                       env=child_env(CSMAPROBE_WORKERS=nproc()))
+                        "--jobs", str(nproc()), "--out", str(path)],
+                       capture_output=True, text=True, env=child_env(CSMAPROBE_WORKERS=1))
     if r.returncode != 0:
         raise BenchError(f"perfbench-layers batch failed: {r.stderr}")
     return path.read_text()
 
 
-def crossing_rate(steps):
-    """The highest rate meeting the p99 limit with no growing backlog,
-    interpolated on log p99 between the last passing and the first
-    failing ladder step. `steps` is [(rate, p99, passed)], ascending."""
-    last_pass = None
-    for rate, p99, ok in steps:
-        if not ok:
-            if last_pass is None:
-                return rate * SERVE_P99_LIMIT_S / p99
-            r0, q0 = last_pass
-            f = (math.log(SERVE_P99_LIMIT_S) - math.log(q0)) / (math.log(p99) - math.log(q0))
-            return r0 + (rate - r0) * min(1.0, max(0.0, f))
-        last_pass = (rate, p99)
-    return last_pass[0]
-
-
-def run_serve(seed, seconds, tally):
+def idle_daemons(tally):
+    """SETUP_SAMPLES daemons stopped once set up: their set-up times."""
     setups = []
     for _ in range(SETUP_SAMPLES):
         d = Daemon("setup")
         setups.append(d.setup_s)
         end = d.stop()
         tally.gate(end["code"] == 0, f"idle daemon drain exit {end['code']}")
+    return setups
 
-    # The nominal rate for half the run: latency, CPU and the table gate.
-    # Whole composition blocks of the mix (see perfbench/layers).
-    n_nominal = MIX_BLOCK * max(1, round(SERVE_NOMINAL_SPS * seconds / 2 / MIX_BLOCK))
-    lines = mix_lines(seed, n_nominal + SERVE_BURST)
-    d = Daemon("nominal")
-    latency, lag = open_loop(d, lines[:n_nominal], SERVE_NOMINAL_SPS, tally)
-    nominal = d.stop()
-    tally.gate(nominal["code"] == 0, f"nominal daemon drain exit {nominal['code']}")
-    reference = batch_table(seed, n_nominal)
-    tally.gate(nominal["table"] == reference,
+
+def run_serve(seed, seconds, tally):
+    setups = idle_daemons(tally)
+
+    # Up to SERVE_ROUNDS rounds of the nominal rate then a burst, on one
+    # daemon whose drained table must equal the one-shot table of the
+    # same sessions. Whole composition blocks, so every segment holds
+    # the mix shares.
+    blocks = max(1, round(SERVE_NOMINAL_SPS * SERVE_NOMINAL_SHARE * seconds / MIX_BLOCK))
+    rounds = min(SERVE_ROUNDS, blocks)
+    n_nominal, n_burst = MIX_BLOCK * (blocks // rounds), MIX_BLOCK * SERVE_BURST_BLOCKS
+    lines = mix_lines(seed, rounds * (n_nominal + n_burst))
+    d = Daemon("run")
+    by_id, lag, burst_walls, at = {}, [], [], 0
+    for _ in range(rounds):
+        lat, late = open_loop(d, lines[at:at + n_nominal], SERVE_NOMINAL_SPS, tally)
+        by_id.update(lat)
+        lag += late
+        at += n_nominal
+        burst, _ = open_loop(d, lines[at:at + n_burst], float("inf"), tally)
+        burst_walls.append(max(burst.values()))
+        at += n_burst
+    end = d.stop()
+    tally.gate(end["code"] == 0, f"daemon drain exit {end['code']}")
+    setups += idle_daemons(tally)
+    tally.gate(end["table"] == batch_table(seed, len(lines)),
                "drained session table differs from the one-shot batch table")
 
-    # The rate ladder, on a fresh daemon with the following mix sessions.
-    # A burst of sessions submitted at once estimates the capacity; the
-    # steps are shares of it, each starting drained, up to the first
-    # step that misses the limit.
-    d = Daemon("ladder")
-    at = n_nominal + SERVE_BURST
-    burst, _ = open_loop(d, lines[n_nominal:at], float("inf"), tally)
-    capacity = len(burst) / max(burst)
-    step_len = max(0.5, seconds / 10)
-    rates = [f * capacity for f in SERVE_LADDER_SHARES]
-    lines = mix_lines(seed, at + sum(int(r * step_len) + 1 for r in rates))
-    steps = []
-    for rate in rates:
-        n = int(rate * step_len) + 1
-        lat, step_lag = open_loop(d, lines[at:at + n], rate, tally)
-        at += n
-        lag += step_lag
-        p99 = quantile(lat, 0.99) if lat else float("inf")
-        # A growing backlog shows as the step's last sessions waiting
-        # longer than its first ones by more than the limit.
-        tenth = max(1, len(lat) // 10)
-        growing = len(lat) > 1 and median(lat[-tenth:]) - median(lat[:tenth]) > SERVE_P99_LIMIT_S
-        ok = p99 <= SERVE_P99_LIMIT_S and not growing
-        steps.append((rate, p99, ok))
-        log(f"ladder {rate:.0f}/s: p99 {p99 * 1e3:.1f} ms, {'pass' if ok else 'miss'}")
-        if not ok:
-            break
-    ladder = d.stop()
-    tally.gate(ladder["code"] == 0, f"ladder daemon drain exit {ladder['code']}")
-
-    log(f"nominal {SERVE_NOMINAL_SPS:.0f}/s: {len(latency)} sessions; generator lag "
-        f"p99 {quantile(lag, 0.99) * 1e3:.3f} ms over {len(lag)} submits")
+    # The p99 limit at the nominal rate, with no growing backlog: the
+    # median latency of the last tenth of the sessions is not above
+    # that of the first tenth by more than the limit.
+    latency = list(by_id.values())
+    tenth = max(1, len(latency) // 10)
+    growing = median(latency[-tenth:]) - median(latency[:tenth]) > SERVE_P99_LIMIT_S
+    p99 = quantile(latency, 0.99)
+    tools = {s["id"]: s["tool"] for s in map(json.loads, lines)}
+    single = [t for sid, t in by_id.items() if tools[sid] in SERVE_SINGLE_TRAIN_TOOLS]
+    log(f"nominal {SERVE_NOMINAL_SPS:.0f}/s: {len(latency)} sessions, p99 {p99 * 1e3:.1f} ms; "
+        f"bursts of {n_burst}: " + ", ".join(f"{w:.3f}" for w in burst_walls) + " s")
     return {
         "setup_s": median(setups),
-        "cpu_s": nominal["cpu"],
-        "wall_s": nominal["wall"],
-        "peak_rss_mb": nominal["rss"],
-        "latency_p50_s": quantile(latency, 0.5),
-    }, {"latency_p99_s": quantile(latency, 0.99), "max_rate_sps": crossing_rate(steps),
+        "cpu_s": end["cpu"],
+        "wall_s": median(burst_walls),
+        "peak_rss_mb": end["rss"],
+        "latency_p50_s": quantile(single, 0.5),
+    }, {"latency_p99_s": p99,
+        "latency_p50_all_sessions_s": quantile(latency, 0.5),
+        "nominal_within_p99_limit": p99 <= SERVE_P99_LIMIT_S and not growing,
         "generator_lag_p99_s": quantile(lag, 0.99), "nominal_sessions": len(latency),
-        "burst_capacity_sps": capacity, "ladder": steps}
+        "burst_capacity_sps": n_burst / median(burst_walls), "burst_walls_s": burst_walls}
 
 
 # ---------------------------------------------------------------------

@@ -7,7 +7,7 @@ Runs `perfbench/run.py` once per seed (untraced, `run_seconds` from
 BENCHMARK.json), then prints for every end-to-end metric the median of
 the runs and the distance between their first and third quartiles as a
 share of the median, next to the metric's bound. A spread above a third
-of its bound (setup_s excepted) marks the benchmark as not steady yet.
+of its bound marks the benchmark as not steady yet.
 
 The runs are saved to `perfbench/work/spread-<workload>-<first seed>.json`.
 `--against` compares the medians with an earlier saved set; the two sets
@@ -83,7 +83,7 @@ def main():
         med = statistics.median(vals)
         q1, _, q3 = statistics.quantiles(vals, n=4)
         spread = (q3 - q1) / med
-        ok = name == "setup_s" or spread < bound / 3
+        ok = spread < bound / 3
         steady &= ok
         line = f"{name:16s} {med:12.6g} {spread:8.3f} {bound:6.2f} {'' if ok else 'WIDE'}"
         if old:

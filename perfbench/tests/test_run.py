@@ -69,8 +69,10 @@ class TinyRuns(unittest.TestCase):
         self.run_workload("grid", gates=1 + 2 * 48)
 
     def test_serve(self):
-        # Idle drains, the nominal sessions, both drains, the table.
-        self.run_workload("serve", gates=run.SETUP_SAMPLES + run.MIX_BLOCK + 3)
+        # Idle drains before and after, the sessions of one round (a
+        # nominal block and a burst), the daemon's drain and the table.
+        sessions = (1 + run.SERVE_BURST_BLOCKS) * run.MIX_BLOCK
+        self.run_workload("serve", gates=2 * run.SETUP_SAMPLES + sessions + 2)
 
     def test_trace(self):
         lines, res = result(bench("--workload", "grid", "--seed", "3",
@@ -108,16 +110,6 @@ class Helpers(unittest.TestCase):
         self.assertEqual(run.quantile(v, 0.5), 51)
         self.assertEqual(run.quantile(v, 0.99), 99)
         self.assertEqual(run.quantile([7], 0.99), 7)
-
-    def test_crossing_rate(self):
-        limit = run.SERVE_P99_LIMIT_S
-        # Interpolated on log p99 between the last pass and the first miss.
-        steps = [(100.0, limit / 4, True), (200.0, limit * 4, False)]
-        self.assertAlmostEqual(run.crossing_rate(steps), 150.0)
-        # No step passes: scaled down from the first step.
-        self.assertAlmostEqual(run.crossing_rate([(100.0, limit * 2, False)]), 50.0)
-        # Every step passes: the highest step.
-        self.assertEqual(run.crossing_rate([(100.0, limit / 2, True)]), 100.0)
 
     def test_tally(self):
         t = run.Tally()
