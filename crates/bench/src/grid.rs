@@ -857,7 +857,12 @@ impl GridScenario for BiasGrid {
 mod tests {
     use super::*;
     use crate::report::row_key;
+    use csmaprobe_core::engine::{test_guard, EnginePolicy};
     use csmaprobe_core::grid::run_grid;
+
+    // Tests that compute or compare a `run` fingerprint hold the Auto
+    // policy for their whole body: the fingerprint reads the
+    // process-wide engine policy, which a sibling test may be forcing.
 
     #[test]
     fn catalogs_parse_and_reject() {
@@ -928,6 +933,7 @@ mod tests {
 
     #[test]
     fn inline_specs_fold_into_the_run_fingerprint() {
+        let _policy = test_guard(EnginePolicy::Auto);
         let grid_of = |links: &str| {
             BiasGrid::new(
                 parse_links(links).unwrap(),
@@ -1020,6 +1026,7 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_configuration_and_round_trips() {
+        let _policy = test_guard(EnginePolicy::Auto);
         let base = || {
             BiasGrid::new(
                 vec![find_link("wired").unwrap()],
@@ -1055,7 +1062,7 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_engine_policy_and_rows_carry_tier() {
-        use csmaprobe_core::engine::{test_guard, EnginePolicy, EngineTier};
+        use csmaprobe_core::engine::EngineTier;
         let make = || {
             BiasGrid::new(
                 vec![find_link("wired").unwrap(), find_link("wlan_low").unwrap()],
@@ -1113,6 +1120,7 @@ mod tests {
 
     #[test]
     fn shard_fingerprint_splits_on_the_spec_but_run_fingerprint_does_not() {
+        let _policy = test_guard(EnginePolicy::Auto);
         let make = || {
             BiasGrid::new(
                 vec![find_link("wired").unwrap()],
@@ -1188,6 +1196,7 @@ mod tests {
     #[test]
     fn sharded_rows_merge_to_the_unsharded_table_byte_for_byte() {
         use crate::report::RowSink;
+        let _policy = test_guard(EnginePolicy::Auto);
         let make = || {
             BiasGrid::new(
                 vec![find_link("wired").unwrap()],
@@ -1233,6 +1242,7 @@ mod tests {
 
     #[test]
     fn grid_rows_deterministic_across_runs() {
+        let _policy = test_guard(EnginePolicy::Auto);
         let make = || {
             BiasGrid::new(
                 vec![find_link("wired").unwrap()],

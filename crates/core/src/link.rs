@@ -13,21 +13,27 @@
 //!
 //! [`WiredLink`] is the classic single-FIFO constant-capacity path of
 //! the wired literature — the baseline every comparison in §2/§7 is
-//! made against.
+//! made against. It is one [`Hop`] of [`crate::multihop`] and shares
+//! its streaming pass: a FIFO departure depends only on jobs that
+//! arrived earlier, so Poisson cross-traffic is drawn only up to the
+//! last probe arrival and merged with the probes (probe first on a
+//! tie) straight through the Lindley recursion. A wired train costs
+//! time proportional to the warm-up plus the train span, and memory
+//! proportional to its probe packets.
 //!
 //! Both implement [`ProbeTarget`], so every tool in `csmaprobe-probe`
 //! runs unchanged against either link type — exactly the paper's
 //! "traditional tools are run unchanged over wireless links" setting.
 
 use crate::engine::{self, EngineTier};
-use csmaprobe_desim::rng::{derive_seed, SimRng};
+use crate::multihop::Hop;
+use csmaprobe_desim::rng::derive_seed;
 use csmaprobe_desim::time::{Dur, Time};
 use csmaprobe_mac::options::MacOptions;
 use csmaprobe_mac::sim::{PacketRecord, StationId, WlanSim};
 use csmaprobe_mac::slotted::{SlottedFlow, SlottedSim};
 use csmaprobe_mac::{BatchedSlottedSim, BianchiModel, NonSatModel};
 use csmaprobe_phy::Phy;
-use csmaprobe_queueing::fifo::{fifo_serve, Job};
 use csmaprobe_traffic::probe::ProbeTrain;
 use csmaprobe_traffic::{CbrSource, MergeSource, PoissonSource, SizeModel, Source, TraceSource};
 
@@ -819,61 +825,27 @@ impl WiredLink {
         (self.capacity_bps - self.cross_rate_bps).max(0.0)
     }
 
-    fn service_time(&self, bytes: u32) -> Dur {
-        Dur::from_secs_f64(bytes as f64 * 8.0 / self.capacity_bps)
+    /// This link as a single FIFO hop.
+    fn hop(&self) -> Hop {
+        Hop {
+            capacity_bps: self.capacity_bps,
+            cross_rate_bps: self.cross_rate_bps,
+            cross_bytes: self.cross_bytes,
+        }
     }
-}
 
-impl WiredLink {
     fn run_sequence(
         &self,
-        probe: &[(Time, u32)],
+        mut probe: Vec<(Time, u32)>,
         seed: u64,
         g_i: Dur,
         bytes: u32,
     ) -> TrainObservation {
-        let last = probe.last().map(|&(t, _)| t).unwrap_or(Time::ZERO);
-        let horizon =
-            last + self.service_time(bytes) * (probe.len() as u64 + 8) + Dur::from_secs(2);
-
-        // Cross-traffic jobs from t=0 so the queue is stationary when
-        // probing starts.
-        let mut rng = SimRng::new(derive_seed(seed, 0x51ED));
-        let mut cross = PoissonSource::from_bitrate(
-            self.cross_rate_bps,
-            SizeModel::Fixed(self.cross_bytes),
-            Time::ZERO,
-            horizon,
-        );
-        let mut jobs: Vec<(Time, u32, bool)> = Vec::new();
-        while let Some(p) = cross.next_packet(&mut rng) {
-            jobs.push((p.time, p.bytes, false));
-        }
-        for &(t, b) in probe {
-            jobs.push((t, b, true));
-        }
-        jobs.sort_by_key(|&(t, _, is_probe)| (t, !is_probe));
-
-        let plain: Vec<Job> = jobs
-            .iter()
-            .map(|&(t, bytes, _)| Job {
-                arrival: t,
-                service: self.service_time(bytes),
-            })
-            .collect();
-        let served = fifo_serve(&plain);
-
-        let mut arrivals = Vec::with_capacity(probe.len());
-        let mut rx_times = Vec::with_capacity(probe.len());
-        for (s, &(_, _, is_probe)) in served.iter().zip(&jobs) {
-            if is_probe {
-                arrivals.push(s.arrival);
-                rx_times.push(s.depart);
-            }
-        }
+        let arrivals = probe.iter().map(|&(t, _)| t).collect();
+        self.hop().serve(&mut probe, derive_seed(seed, 0x51ED));
         TrainObservation {
             arrivals,
-            rx_times,
+            rx_times: probe.into_iter().map(|(t, _)| t).collect(),
             access_delays: None,
             g_i,
             bytes,
@@ -884,18 +856,18 @@ impl WiredLink {
 impl ProbeTarget for WiredLink {
     fn probe_train(&self, train: ProbeTrain, seed: u64) -> TrainObservation {
         let start = Time::ZERO + self.warmup;
-        let probe: Vec<(Time, u32)> = train
+        let probe = train
             .arrivals(start)
             .iter()
             .map(|p| (p.time, p.bytes))
             .collect();
-        self.run_sequence(&probe, seed, train.gap, train.bytes)
+        self.run_sequence(probe, seed, train.gap, train.bytes)
     }
 
     fn probe_sequence(&self, offsets: &[Dur], bytes: u32, seed: u64) -> TrainObservation {
         let start = Time::ZERO + self.warmup;
-        let probe: Vec<(Time, u32)> = offsets.iter().map(|&o| (start + o, bytes)).collect();
-        self.run_sequence(&probe, seed, Dur::ZERO, bytes)
+        let probe = offsets.iter().map(|&o| (start + o, bytes)).collect();
+        self.run_sequence(probe, seed, Dur::ZERO, bytes)
     }
 
     fn probe_bytes(&self) -> u32 {

@@ -9,11 +9,27 @@
 //! over hops ("tight link"), the packet-pair capacity is set by the
 //! narrow link, and each extra hop adds its own transient to short
 //! trains.
+//!
+//! Every hop is served by one streaming pass, [`Hop::serve`], which the
+//! single-hop [`WiredLink`](crate::link::WiredLink) shares:
+//!
+//! * **Causality cut.** A FIFO departure depends only on jobs that
+//!   arrived before it, so cross-traffic arriving after the last probe
+//!   can never change a probe departure. Cross arrivals are drawn from
+//!   the hop's seeded Poisson stream only up to the last probe arrival;
+//!   that prefix is exactly what any longer draw would start with.
+//! * **Tie rule.** A probe and a cross packet arriving at the same
+//!   instant are served probe first. Probes keep their order among
+//!   themselves, and so do cross packets.
+//! * **Cost.** The two time-ordered streams are merged without a sort
+//!   and each job goes straight through the Lindley recursion; only
+//!   probe departures are kept. A train costs time proportional to the
+//!   warm-up plus the train span (at the hop's cross packet rate) and
+//!   memory proportional to its probe packets, at any cross rate.
 
 use crate::link::{ProbeTarget, TrainObservation};
 use csmaprobe_desim::rng::{derive_seed, SimRng};
 use csmaprobe_desim::time::{Dur, Time};
-use csmaprobe_queueing::fifo::{fifo_serve, Job};
 use csmaprobe_traffic::probe::ProbeTrain;
 use csmaprobe_traffic::{PoissonSource, SizeModel, Source};
 
@@ -42,6 +58,47 @@ impl Hop {
     /// This hop's available bandwidth.
     pub fn available_bps(&self) -> f64 {
         (self.capacity_bps - self.cross_rate_bps).max(0.0)
+    }
+
+    /// Serve a probe sequence through this hop in one streaming pass,
+    /// replacing each probe arrival time with its departure time.
+    /// `seed` drives the hop's Poisson cross-traffic, which starts at
+    /// t = 0 so the queue is stationary when probing starts.
+    ///
+    /// Cross arrivals are drawn only up to the last probe arrival and
+    /// merged with the probes, probe first on a tie; every job goes
+    /// straight through the Lindley recursion (see the module docs).
+    ///
+    /// Panics if the probe arrivals are out of order.
+    pub fn serve(&self, probe: &mut [(Time, u32)], seed: u64) {
+        let service = |bytes: u32| Dur::from_secs_f64(bytes as f64 * 8.0 / self.capacity_bps);
+        let cross_service = service(self.cross_bytes);
+        let last = probe.last().map_or(Time::ZERO, |&(t, _)| t);
+        let mut rng = SimRng::new(seed);
+        let mut cross = PoissonSource::from_bitrate(
+            self.cross_rate_bps,
+            SizeModel::Fixed(self.cross_bytes),
+            Time::ZERO,
+            last,
+        );
+        let mut next_cross = cross.next_packet(&mut rng);
+        let mut server_free = Time::ZERO;
+        let mut prev = Time::ZERO;
+        for (t, bytes) in probe.iter_mut() {
+            let arrival = *t;
+            assert!(
+                arrival >= prev,
+                "a FIFO hop requires time-ordered probe arrivals"
+            );
+            prev = arrival;
+            // Cross packets strictly before the probe: a tie goes to the probe.
+            while let Some(c) = next_cross.filter(|c| c.time < arrival) {
+                server_free = c.time.max(server_free) + cross_service;
+                next_cross = cross.next_packet(&mut rng);
+            }
+            server_free = arrival.max(server_free) + service(*bytes);
+            *t = server_free;
+        }
     }
 }
 
@@ -83,81 +140,46 @@ impl WiredPath {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Push a probe arrival sequence through every hop in turn; probe
-    /// departures of hop `k` are its arrivals at hop `k+1`.
-    fn traverse(&self, probe: &[(Time, u32)], seed: u64) -> Vec<(Time, u32)> {
-        let mut current: Vec<(Time, u32)> = probe.to_vec();
+    /// Push a probe arrival sequence through every hop in turn — probe
+    /// departures of hop `k` are its arrivals at hop `k+1` — and observe
+    /// it at the far end.
+    fn observe(
+        &self,
+        mut probe: Vec<(Time, u32)>,
+        seed: u64,
+        g_i: Dur,
+        bytes: u32,
+    ) -> TrainObservation {
+        let arrivals = probe.iter().map(|&(t, _)| t).collect();
         for (h, hop) in self.hops.iter().enumerate() {
-            let service = |bytes: u32| Dur::from_secs_f64(bytes as f64 * 8.0 / hop.capacity_bps);
-            let last = current.last().map(|&(t, _)| t).unwrap_or(Time::ZERO);
-            let horizon =
-                last + service(self.probe_bytes) * (current.len() as u64 + 8) + Dur::from_secs(2);
             // Independent cross-traffic stream per hop.
-            let mut rng = SimRng::new(derive_seed(seed, 0xB0B + h as u64));
-            let mut cross = PoissonSource::from_bitrate(
-                hop.cross_rate_bps,
-                SizeModel::Fixed(hop.cross_bytes),
-                Time::ZERO,
-                horizon,
-            );
-            let mut jobs: Vec<(Time, u32, bool)> = Vec::new();
-            while let Some(p) = cross.next_packet(&mut rng) {
-                jobs.push((p.time, p.bytes, false));
-            }
-            for &(t, b) in &current {
-                jobs.push((t, b, true));
-            }
-            jobs.sort_by_key(|&(t, _, is_probe)| (t, !is_probe));
-            let plain: Vec<Job> = jobs
-                .iter()
-                .map(|&(t, bytes, _)| Job {
-                    arrival: t,
-                    service: service(bytes),
-                })
-                .collect();
-            let served = fifo_serve(&plain);
-            current = served
-                .iter()
-                .zip(&jobs)
-                .filter(|(_, &(_, _, is_probe))| is_probe)
-                .map(|(s, &(_, b, _))| (s.depart, b))
-                .collect();
+            hop.serve(&mut probe, derive_seed(seed, 0xB0B + h as u64));
         }
-        current
+        TrainObservation {
+            arrivals,
+            rx_times: probe.into_iter().map(|(t, _)| t).collect(),
+            access_delays: None,
+            g_i,
+            bytes,
+        }
     }
 }
 
 impl ProbeTarget for WiredPath {
     fn probe_train(&self, train: ProbeTrain, seed: u64) -> TrainObservation {
         let start = Time::ZERO + self.warmup;
-        let probe: Vec<(Time, u32)> = train
+        let probe = train
             .arrivals(start)
             .iter()
             .map(|p| (p.time, p.bytes))
             .collect();
-        let arrivals: Vec<Time> = probe.iter().map(|&(t, _)| t).collect();
-        let out = self.traverse(&probe, seed);
-        TrainObservation {
-            arrivals,
-            rx_times: out.iter().map(|&(t, _)| t).collect(),
-            access_delays: None,
-            g_i: train.gap,
-            bytes: train.bytes,
-        }
+        self.observe(probe, seed, train.gap, train.bytes)
     }
 
     fn probe_sequence(&self, offsets: &[Dur], bytes: u32, seed: u64) -> TrainObservation {
         let start = Time::ZERO + self.warmup;
-        let probe: Vec<(Time, u32)> = offsets.iter().map(|&o| (start + o, bytes)).collect();
-        let arrivals: Vec<Time> = probe.iter().map(|&(t, _)| t).collect();
-        let out = self.traverse(&probe, seed);
-        TrainObservation {
-            arrivals,
-            rx_times: out.iter().map(|&(t, _)| t).collect(),
-            access_delays: None,
-            g_i: Dur::ZERO,
-            bytes,
-        }
+        let probe = offsets.iter().map(|&o| (start + o, bytes)).collect();
+        self.observe(probe, seed, Dur::ZERO, bytes)
     }
 
     fn probe_bytes(&self) -> u32 {
