@@ -11,7 +11,8 @@ use crate::report::FigureReport;
 use crate::scaled;
 use crate::scenarios::{self, FRAME};
 use csmaprobe_core::transient::TransientExperiment;
-use csmaprobe_stats::ks::two_sample_ks;
+use csmaprobe_stats::ecdf::Ecdf;
+use csmaprobe_stats::ks::two_sample_ks_against;
 use csmaprobe_traffic::probe::ProbeTrain;
 
 /// Run the experiment.
@@ -44,14 +45,14 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
     // indices, strided down so each per-index KS test stays cheap.
     let pooled = data.steady_sample(500);
     let stride = (pooled.len() / 20_000).max(1);
-    let reference: Vec<f64> = pooled.iter().step_by(stride).cloned().collect();
+    let reference = Ecdf::new(pooled.iter().step_by(stride).cloned().collect());
 
     let queue_profile = data.queue_profile();
     let p95 = data.p95_profile();
     let show = 100;
     let mut first_below: Option<usize> = None;
     for (i, &queued) in queue_profile.iter().take(show).enumerate() {
-        let ks = two_sample_ks(data.delays.sample(i), &reference, 0.05);
+        let ks = two_sample_ks_against(data.delays.sample(i), &reference, 0.05);
         if first_below.is_none() && !ks.reject {
             first_below = Some(i + 1);
         }
@@ -70,7 +71,7 @@ pub fn run(scale: f64, seed: u64) -> FigureReport {
     );
 
     // Check 1: packet 1 rejected.
-    let ks1 = two_sample_ks(data.delays.sample(0), &reference, 0.05);
+    let ks1 = two_sample_ks_against(data.delays.sample(0), &reference, 0.05);
     rep.check(
         "first packet off steady state",
         ks1.reject,

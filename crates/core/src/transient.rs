@@ -124,22 +124,27 @@ impl Accumulate for DenseAcc {
 }
 
 /// Run one replication of `scenario` and feed it to `consume` as
-/// `(delays, queue_sizes)` iterators; the simulation buffers are
-/// recycled afterwards.
+/// `(index, delay, queue size)`; the simulation buffers are recycled
+/// afterwards. The first contender's queue is reconstructed at every
+/// probe arrival in one sweep: probe records are in FIFO order, so
+/// their arrival instants are non-decreasing.
 fn replicate_once(
     scenario: &(impl Scenario + ?Sized),
     seed: u64,
     mut consume: impl FnMut(usize, f64, Option<f64>),
 ) {
-    let has_contender = !scenario.link().config().contending.is_empty();
     let run: WlanTrainRun = scenario.link().send_train(scenario.train(), seed);
-    for (i, r) in run.probe.iter().enumerate() {
-        let queue = if has_contender {
-            Some(run.output.queue_len_at(run.contending[0], r.arrival) as f64)
-        } else {
-            None
-        };
-        consume(i, r.access_delay().as_secs_f64(), queue);
+    {
+        let mut queues = run.contending.first().map(|&c| {
+            run.output
+                .queue_lens_at(c, run.probe.iter().map(|r| r.arrival))
+        });
+        for (i, r) in run.probe.iter().enumerate() {
+            let queue = queues
+                .as_mut()
+                .map(|q| q.next().expect("one queue length per probe record") as f64);
+            consume(i, r.access_delay().as_secs_f64(), queue);
+        }
     }
     run.recycle();
 }

@@ -4,14 +4,36 @@
 //!
 //! Time is continuous (integer nanoseconds) but contention is
 //! slot-synchronised, as in Bianchi's model and NS2: after every busy
-//! period the idle slot grid is anchored at `channel_free_at + DIFS`,
-//! and a station's backoff counter positions its (potential)
-//! transmission at `anchor + slots_left · slot`. Two stations whose
-//! counters expire on the same grid point collide. A station that
-//! starts contending in the middle of an idle period first observes
-//! DIFS of idle medium and then joins the *same* grid (its start point
-//! is rounded up to the next grid slot), which keeps the slot-level
-//! vulnerability window of real DCF.
+//! period the idle slot grid is anchored at `anchor = channel_free_at +
+//! DIFS`, and grid point `k` is the instant `anchor + k·slot`. Each
+//! contending station holds its countdown as two integer indices on the
+//! current grid: `start`, the grid point its countdown (re)starts at, and
+//! `due = start + slots_left`, the grid point of its (potential)
+//! transmission. The next transmission happens at the smallest `due`;
+//! every station whose counter expires on that grid point transmits, and
+//! two or more of them collide. A station that starts contending in the
+//! middle of an idle period first observes DIFS of idle medium and then
+//! joins the *same* grid: its start point `arrival + DIFS` is rounded up
+//! to the next grid point, `start = ⌈(arrival − channel_free_at) /
+//! slot⌉`, which keeps the slot-level vulnerability window of real DCF.
+//!
+//! When a transmission at grid point `T` ends the idle period, every
+//! other contender freezes: one whose countdown had begun (`start ≤ T`)
+//! keeps `due − T` slots, one whose countdown had not (`start > T`) keeps
+//! its counter untouched. The busy period then re-anchors the grid, and
+//! every contender restarts at `start = 0` with `due` = its slots left.
+//!
+//! The arithmetic is exact. Every instant the loop compares is a grid
+//! point of one anchor: a busy-period arrival starts at the anchor, a
+//! mid-idle arrival at the rounded-up point, and a post-busy countdown at
+//! the new anchor. On one grid, `anchor + a·slot ≤ anchor + b·slot` iff
+//! `a ≤ b`, and the whole slots between two points are exactly `b − a`.
+//! So comparing and subtracting indices is the same integer computation
+//! as comparing instants and dividing their difference by the slot, and
+//! the schedule is identical to the nanosecond. The only division left
+//! places a mid-idle arrival on the grid, once per packet that finds its
+//! queue empty and the medium idle; freezing costs a subtraction, and the
+//! instant `anchor + due·slot` is formed once per event, for the winner.
 //!
 //! ## Per-packet lifecycle
 //!
@@ -168,6 +190,9 @@ impl PacketRecord {
     }
 }
 
+/// `Station::due` of a station with no head packet contending.
+const IDLE: u64 = u64::MAX;
+
 /// Per-station contention state.
 struct Station {
     source: Box<dyn Source>,
@@ -178,12 +203,13 @@ struct Station {
     queue: VecDeque<(Time, u32, u16)>,
     /// When the current head reached the head of the queue.
     head_since: Time,
-    /// Remaining backoff slots for the head packet.
-    slots_left: u32,
-    /// Grid-aligned instant this station's countdown (re)starts.
-    count_start: Time,
-    /// Whether the head packet currently has contention state armed.
-    contending: bool,
+    /// Grid point (index on the current idle grid) where this station's
+    /// countdown (re)starts.
+    start: u64,
+    /// Grid point where the head packet's backoff counter expires and it
+    /// transmits: `start + slots_left`, or [`IDLE`] when no head packet
+    /// is contending.
+    due: u64,
     /// Backoff stage (contention window doublings so far).
     stage: u32,
     /// Retry count of the head packet.
@@ -193,9 +219,63 @@ struct Station {
 }
 
 impl Station {
-    fn tx_time(&self, slot: Dur) -> Time {
-        debug_assert!(self.contending);
-        self.count_start + slot * self.slots_left as u64
+    /// Freeze this contending non-winner when a transmission starts at
+    /// grid point `t`, and restart it on the next idle grid: a countdown
+    /// that had begun keeps its unexpired slots; one that had not keeps
+    /// its counter, or backs off if it was waiting for immediate access.
+    fn freeze(&mut self, phy: &Phy, t: u64) {
+        debug_assert!(self.due > t, "non-winner should not have expired");
+        let left = if self.start <= t {
+            self.due - t
+        } else if self.due == self.start {
+            // Lost its immediate-access opportunity to this busy
+            // period: must back off like everyone else.
+            self.draw_backoff(phy)
+        } else {
+            self.due - self.start
+        };
+        self.start = 0;
+        self.due = left;
+    }
+
+    /// Draw a backoff counter from `[0, CW]` at the current stage.
+    fn draw_backoff(&mut self, phy: &Phy) -> u64 {
+        self.rng
+            .range_inclusive(0, phy.cw_at_stage(self.stage) as u64)
+    }
+
+    /// Arm a fresh backoff counted from the next idle grid's anchor.
+    fn restart_backoff(&mut self, phy: &Phy) {
+        self.start = 0;
+        self.due = self.draw_backoff(phy);
+    }
+}
+
+/// Data-frame airtimes memoised by payload size: a 16-entry
+/// direct-mapped table (Fibonacci-hashed on the size), so a run whose
+/// stations cycle through a handful of frame sizes computes each
+/// airtime once instead of once per exchange.
+struct AirtimeMemo {
+    entries: [(u32, Dur); 16],
+}
+
+impl AirtimeMemo {
+    fn new(phy: &Phy) -> Self {
+        AirtimeMemo {
+            entries: [(0, phy.data_airtime(0)); 16],
+        }
+    }
+
+    #[inline]
+    fn data(&mut self, phy: &Phy, bytes: u32) -> Dur {
+        let i = (bytes.wrapping_mul(0x9E37_79B9) >> 28) as usize;
+        let (b, airtime) = self.entries[i];
+        if b == bytes {
+            return airtime;
+        }
+        let airtime = phy.data_airtime(bytes);
+        self.entries[i] = (bytes, airtime);
+        airtime
     }
 }
 
@@ -320,9 +400,8 @@ impl WlanSim {
             next_arrival: None,
             queue: pool::take_queue(),
             head_since: Time::ZERO,
-            slots_left: 0,
-            count_start: Time::ZERO,
-            contending: false,
+            start: 0,
+            due: IDLE,
             stage: 0,
             retries: 0,
             records: pool::take_records(),
@@ -330,20 +409,19 @@ impl WlanSim {
         StationId(idx)
     }
 
-    /// Align `t` up to the idle-period slot grid anchored at `anchor`.
-    fn align_up(anchor: Time, slot: Dur, t: Time) -> Time {
-        if t <= anchor {
-            return anchor;
-        }
-        let offset = t - anchor;
-        anchor + slot * offset.div_ceil_dur(slot)
-    }
-
     /// Run until `horizon` (exclusive) or until no event remains.
     pub fn run(mut self, horizon: Time) -> SimOutput {
-        let slot = self.phy.slot;
-        let difs = self.phy.difs();
+        let phy = &self.phy;
+        let slot = phy.slot;
+        let difs = phy.difs();
+        let sifs_ack = phy.sifs + phy.ack_airtime();
+        let ack_timeout = phy.ack_timeout();
+        let rts_preface = phy.rts_cts_preface();
+        let rts_airtime = phy.rts_airtime();
+        let mut airtimes = AirtimeMemo::new(phy);
         let mut channel_free_at = Time::ZERO;
+        // Grid point 0 of the current idle period.
+        let mut anchor = channel_free_at + difs;
         let mut last_done = Time::ZERO;
         let mut channel = ChannelStats::default();
         let mut stop = self.stop_rule;
@@ -361,9 +439,14 @@ impl WlanSim {
                 break;
             }
 
-            // Earliest pending arrival across stations.
+            // One pass: the earliest pending arrival, and the earliest
+            // grid point a counter expires on with the stations whose
+            // counters expire there (the first of them, and how many).
             let mut next_arr = Time::MAX;
             let mut arr_station = usize::MAX;
+            let mut due = IDLE;
+            let mut winner = usize::MAX;
+            let mut winners = 0usize;
             for (i, st) in self.stations.iter().enumerate() {
                 if let Some(p) = st.next_arrival {
                     if p.time < next_arr {
@@ -371,18 +454,19 @@ impl WlanSim {
                         arr_station = i;
                     }
                 }
-            }
-
-            // Earliest candidate transmission across contending stations.
-            let mut next_tx = Time::MAX;
-            for st in &self.stations {
-                if st.contending {
-                    let t = st.tx_time(slot);
-                    if t < next_tx {
-                        next_tx = t;
-                    }
+                if st.due < due {
+                    due = st.due;
+                    winner = i;
+                    winners = 1;
+                } else if st.due == due {
+                    winners += 1;
                 }
             }
+            let next_tx = if due == IDLE {
+                Time::MAX
+            } else {
+                anchor + slot * due
+            };
 
             let next_event = next_arr.min(next_tx);
             if next_event == Time::MAX || next_event >= horizon {
@@ -404,113 +488,63 @@ impl WlanSim {
                     st.head_since = pkt.time;
                     st.stage = 0;
                     st.retries = 0;
-                    st.contending = true;
                     if pkt.time < channel_free_at {
                         // Medium busy: classic backoff, counted from the
                         // next idle period.
-                        st.slots_left =
-                            st.rng.range_inclusive(0, self.phy.cw_at_stage(0) as u64) as u32;
-                        st.count_start = channel_free_at + difs;
+                        st.restart_backoff(phy);
                     } else {
                         // Medium idle: immediate access after DIFS,
-                        // quantised onto the current idle grid (unless
+                        // rounded up onto the current idle grid (unless
                         // the ablation switch forces a backoff draw).
-                        let anchor = channel_free_at + difs;
-                        st.slots_left = if self.options.immediate_access {
-                            0
-                        } else {
-                            st.rng.range_inclusive(0, self.phy.cw_at_stage(0) as u64) as u32
-                        };
-                        st.count_start = Self::align_up(anchor, slot, pkt.time + difs);
+                        st.start = (pkt.time - channel_free_at).div_ceil_dur(slot);
+                        st.due = st.start;
+                        if !self.options.immediate_access {
+                            st.due += st.draw_backoff(phy);
+                        }
                     }
                 }
                 continue;
             }
 
-            // ---- transmission(s) at next_tx ----
+            // ---- transmission(s) at grid point `due` ----
             let t = next_tx;
-            let winners: Vec<usize> = self
-                .stations
-                .iter()
-                .enumerate()
-                .filter(|(_, st)| st.contending && st.tx_time(slot) == t)
-                .map(|(i, _)| i)
-                .collect();
-            debug_assert!(!winners.is_empty());
-
-            // Freeze every other contending station.
-            for (i, st) in self.stations.iter_mut().enumerate() {
-                if !st.contending || winners.contains(&i) {
-                    continue;
-                }
-                if st.count_start <= t {
-                    let elapsed = (t - st.count_start).div_dur(slot) as u32;
-                    debug_assert!(
-                        st.slots_left > elapsed,
-                        "non-winner should not have expired"
-                    );
-                    st.slots_left -= elapsed;
-                } else if st.slots_left == 0 {
-                    // Lost its immediate-access opportunity to this busy
-                    // period: must back off like everyone else.
-                    st.slots_left = st
-                        .rng
-                        .range_inclusive(0, self.phy.cw_at_stage(st.stage) as u64)
-                        as u32;
-                }
-            }
+            debug_assert!(winners >= 1);
 
             let busy_end;
-            if winners.len() == 1 {
-                let w = winners[0];
+            if winners == 1 {
+                let w = winner;
+                for st in &mut self.stations {
+                    if st.due != IDLE && st.due != due {
+                        st.freeze(phy, due);
+                    }
+                }
                 let failed = self.options.frame_error_rate > 0.0
                     && self.stations[w].rng.f64() < self.options.frame_error_rate;
                 let st = &mut self.stations[w];
                 let (arrival, bytes, flow) = *st.queue.front().expect("winner with empty queue");
-                let uses_rts = self.options.uses_rts(bytes);
-                let preface = if uses_rts {
-                    self.phy.rts_cts_preface()
+                let preface = if self.options.uses_rts(bytes) {
+                    rts_preface
                 } else {
                     Dur::ZERO
                 };
-                let data = self.phy.data_airtime(bytes);
-                if failed {
+                let rx_end = t + preface + airtimes.data(phy, bytes);
+                let (done, dropped) = if failed {
                     // ---- corrupted data frame: no ACK, BEB retry ----
                     channel.frame_errors += 1;
-                    let fail_end = t + preface + data + self.phy.ack_timeout();
+                    let fail_end = rx_end + ack_timeout;
                     channel.error_time += fail_end - t;
-                    let retry_limit = self.phy.retry_limit;
                     st.retries += 1;
                     st.stage += 1;
-                    if st.retries > retry_limit {
-                        st.records.push(PacketRecord {
-                            arrival,
-                            head: st.head_since,
-                            rx_end: t + preface + data,
-                            done: fail_end,
-                            bytes,
-                            retries: st.retries,
-                            dropped: true,
-                            flow,
-                        });
-                        if let Some(s) = stop.as_mut() {
-                            if s.station == w && s.flow == flow {
-                                s.remaining = s.remaining.saturating_sub(1);
-                            }
-                        }
-                        last_done = last_done.max(fail_end);
-                        st.queue.pop_front();
-                        Self::rearm_after_completion(st, &self.phy, fail_end);
-                    } else {
-                        let cw = self.phy.cw_at_stage(st.stage);
-                        st.slots_left = st.rng.range_inclusive(0, cw as u64) as u32;
-                    }
-                    busy_end = fail_end;
+                    (fail_end, st.retries > phy.retry_limit)
                 } else {
                     // ---- success ----
-                    let rx_end = t + preface + data;
-                    let done = rx_end + self.phy.sifs + self.phy.ack_airtime();
+                    let done = rx_end + sifs_ack;
                     channel.success_time += done - t;
+                    (done, false)
+                };
+                if failed && !dropped {
+                    st.restart_backoff(phy);
+                } else {
                     st.records.push(PacketRecord {
                         arrival,
                         head: st.head_since,
@@ -518,7 +552,7 @@ impl WlanSim {
                         done,
                         bytes,
                         retries: st.retries,
-                        dropped: false,
+                        dropped,
                         flow,
                     });
                     if let Some(s) = stop.as_mut() {
@@ -528,42 +562,47 @@ impl WlanSim {
                     }
                     last_done = last_done.max(done);
                     st.queue.pop_front();
-                    Self::rearm_after_completion(st, &self.phy, done);
-                    busy_end = done;
+                    Self::rearm_after_completion(st, phy, done);
                 }
+                busy_end = done;
             } else {
                 // ---- collision ----
                 self.collisions += 1;
                 channel.collisions += 1;
-                let max_frame = winners
-                    .iter()
-                    .map(|&i| {
-                        let (_, bytes, _) = *self.stations[i].queue.front().unwrap();
-                        if self.options.uses_rts(bytes) {
-                            // RTS/CTS: only the short RTS collides.
-                            self.phy.rts_airtime()
-                        } else {
-                            self.phy.data_airtime(bytes)
-                        }
-                    })
-                    .max()
-                    .unwrap();
+                let mut max_frame = Dur::ZERO;
+                for st in self.stations.iter().filter(|st| st.due == due) {
+                    let (_, bytes, _) = *st.queue.front().unwrap();
+                    max_frame = max_frame.max(if self.options.uses_rts(bytes) {
+                        // RTS/CTS: only the short RTS collides.
+                        rts_airtime
+                    } else {
+                        airtimes.data(phy, bytes)
+                    });
+                }
                 // The channel is unusable for the longest frame plus the
                 // ACK/CTS-timeout the colliders observe before resuming.
-                busy_end = t + max_frame + self.phy.sifs + self.phy.ack_airtime();
+                busy_end = t + max_frame + sifs_ack;
                 channel.collision_time += busy_end - t;
-                for &i in &winners {
-                    let retry_limit = self.phy.retry_limit;
-                    let st = &mut self.stations[i];
+                // One pass over the pre-transmission counters: colliders
+                // back off (or drop), everyone else freezes. A frozen
+                // counter is already on the next grid, so it must not be
+                // compared with `due` again.
+                for (i, st) in self.stations.iter_mut().enumerate() {
+                    if st.due != due {
+                        if st.due != IDLE {
+                            st.freeze(phy, due);
+                        }
+                        continue;
+                    }
                     st.retries += 1;
                     st.stage += 1;
-                    if st.retries > retry_limit {
+                    if st.retries > phy.retry_limit {
                         // Drop the frame.
                         let (arrival, bytes, flow) = *st.queue.front().unwrap();
                         st.records.push(PacketRecord {
                             arrival,
                             head: st.head_since,
-                            rx_end: t + self.phy.data_airtime(bytes),
+                            rx_end: t + airtimes.data(phy, bytes),
                             done: busy_end,
                             bytes,
                             retries: st.retries,
@@ -577,22 +616,15 @@ impl WlanSim {
                         }
                         last_done = last_done.max(busy_end);
                         st.queue.pop_front();
-                        Self::rearm_after_completion(st, &self.phy, busy_end);
+                        Self::rearm_after_completion(st, phy, busy_end);
                     } else {
-                        let cw = self.phy.cw_at_stage(st.stage);
-                        st.slots_left = st.rng.range_inclusive(0, cw as u64) as u32;
+                        st.restart_backoff(phy);
                     }
                 }
             }
 
             channel_free_at = busy_end;
-            // Re-anchor every contending station on the new idle grid.
-            let anchor = channel_free_at + difs;
-            for st in &mut self.stations {
-                if st.contending {
-                    st.count_start = anchor;
-                }
-            }
+            anchor = channel_free_at + difs;
         }
 
         // Teardown doubles as the reuse path: queue deques go straight
@@ -617,19 +649,17 @@ impl WlanSim {
         }
     }
 
-    /// After the head packet completes (success or drop): reset the
-    /// contention window and arm the next head, if any, with a fresh
-    /// post-transmission backoff.
+    /// After the head packet completes (success or drop) at `done`:
+    /// reset the contention window and arm the next head, if any, with a
+    /// fresh post-transmission backoff counted from the next idle grid.
     fn rearm_after_completion(st: &mut Station, phy: &Phy, done: Time) {
         st.stage = 0;
         st.retries = 0;
         if st.queue.is_empty() {
-            st.contending = false;
+            st.due = IDLE;
         } else {
             st.head_since = done;
-            st.slots_left = st.rng.range_inclusive(0, phy.cw_at_stage(0) as u64) as u32;
-            st.contending = true;
-            // count_start is set by the caller's re-anchoring pass.
+            st.restart_backoff(phy);
         }
     }
 }
@@ -701,6 +731,36 @@ impl SimOutput {
         let departed = recs.partition_point(|r| r.done <= t);
         let unfinished_arrived = self.unfinished[id.0].partition_point(|&a| a <= t);
         completed_arrived + unfinished_arrived - departed
+    }
+
+    /// [`SimOutput::queue_len_at`] at each of a non-decreasing sequence
+    /// of `instants`, in one merged linear sweep over the station's
+    /// arrivals, completions and still-queued packets instead of three
+    /// binary searches per instant. Yields exactly `queue_len_at`'s
+    /// counts, repeated instants included.
+    pub fn queue_lens_at<'a>(
+        &'a self,
+        id: StationId,
+        instants: impl IntoIterator<Item = Time> + 'a,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let recs = &self.station_records[id.0];
+        let unfinished = &self.unfinished[id.0];
+        let (mut arrived, mut departed, mut queued) = (0, 0, 0);
+        let mut prev = Time::ZERO;
+        instants.into_iter().map(move |t| {
+            debug_assert!(t >= prev, "instants must be non-decreasing");
+            prev = t;
+            while arrived < recs.len() && recs[arrived].arrival <= t {
+                arrived += 1;
+            }
+            while departed < recs.len() && recs[departed].done <= t {
+                departed += 1;
+            }
+            while queued < unfinished.len() && unfinished[queued] <= t {
+                queued += 1;
+            }
+            arrived + queued - departed
+        })
     }
 
     /// The PHY the simulation used.

@@ -58,17 +58,21 @@ impl Ecdf {
     /// from `(X_(0) := X_(1))`, i.e. evaluates to values in `(0, 1/n]`
     /// only at `X_(1)` itself (0 below).
     pub fn eval_interpolated(&self, x: f64) -> f64 {
+        self.interpolated_at_rank(x, self.sorted.partition_point(|&v| v <= x))
+    }
+
+    /// [`Ecdf::eval_interpolated`] at `x` given its rank `k = #{X_i ≤
+    /// x}`, for callers that sweep `x` upwards and track the rank
+    /// themselves.
+    pub(crate) fn interpolated_at_rank(&self, x: f64, k: usize) -> f64 {
         let n = self.sorted.len();
-        let first = self.sorted[0];
-        let last = self.sorted[n - 1];
-        if x < first {
+        if k == 0 {
             return 0.0;
         }
-        if x >= last {
+        if k == n {
             return 1.0;
         }
-        // Find the segment [X_(k), X_(k+1)) containing x (1-based k).
-        let k = self.sorted.partition_point(|&v| v <= x); // #{X_i <= x}
+        // The segment [X_(k), X_(k+1)) containing x (1-based k).
         let x_k = self.sorted[k - 1];
         let x_next = self.sorted[k];
         let f_k = k as f64 / n as f64;

@@ -40,24 +40,43 @@ pub fn ks_critical_value(n: usize, m: usize, alpha: f64) -> f64 {
 /// Two-sample KS statistic between `sample` (step ECDF) and `reference`
 /// (linearly interpolated ECDF), evaluated at the observation points of
 /// both samples including left limits at the step discontinuities.
+///
+/// One merged sweep over the two sorted samples: each distinct
+/// observation point is visited once, in increasing order, with both
+/// ranks carried along instead of searched for. Bit-identical to
+/// evaluating [`Ecdf::eval`] and [`Ecdf::eval_interpolated`] at every
+/// point: each term that can set the supremum is computed by the same
+/// expression, and a maximum of exact values does not round.
 pub fn ks_statistic(sample: &Ecdf, reference: &Ecdf) -> f64 {
+    let (xs, rs) = (sample.values(), reference.values());
+    let n = xs.len() as f64;
+    // Ranks #{sample ≤ x} and #{reference ≤ x} at the current point.
+    let (mut i, mut j) = (0, 0);
     let mut sup: f64 = 0.0;
-    let n = sample.len() as f64;
-    // At each of the sample's jump points evaluate both the pre-jump
-    // and post-jump difference.
-    for (i, &x) in sample.values().iter().enumerate() {
-        let f_ref = reference.eval_interpolated(x);
-        let f_post = sample.eval(x);
-        let f_pre = i as f64 / n; // left limit of the step function
-        sup = sup.max((f_post - f_ref).abs());
-        sup = sup.max((f_pre - f_ref).abs());
-    }
-    // The interpolated ECDF has kinks at the reference's points;
-    // evaluate there too.
-    for &x in reference.values() {
-        let f_ref = reference.eval_interpolated(x);
-        let f_s = sample.eval(x);
-        sup = sup.max((f_s - f_ref).abs());
+    while i < xs.len() || j < rs.len() {
+        let x = match (xs.get(i), rs.get(j)) {
+            (Some(&a), Some(&b)) => a.min(b),
+            (Some(&a), None) => a,
+            (None, Some(&b)) => b,
+            (None, None) => unreachable!(),
+        };
+        let jumps_from = i;
+        while i < xs.len() && xs[i] <= x {
+            i += 1;
+        }
+        while j < rs.len() && rs[j] <= x {
+            j += 1;
+        }
+        let f_ref = reference.interpolated_at_rank(x, j);
+        // The step ECDF after its jump at x (or its level, when only the
+        // reference has a point here) ...
+        sup = sup.max((i as f64 / n - f_ref).abs());
+        // ... and its left limit before the jump. Tied observations
+        // share one jump, and |k/n − f_ref| over the levels k inside it
+        // peaks at one of the two ends, so the lower end is enough.
+        if jumps_from < i {
+            sup = sup.max((jumps_from as f64 / n - f_ref).abs());
+        }
     }
     sup
 }
@@ -68,10 +87,16 @@ pub fn ks_statistic(sample: &Ecdf, reference: &Ecdf) -> f64 {
 /// `sample` is tested against `reference`; the reference ECDF is the
 /// linearly-interpolated one, per the paper's methodology.
 pub fn two_sample_ks(sample: &[f64], reference: &[f64], alpha: f64) -> KsOutcome {
+    two_sample_ks_against(sample, &Ecdf::new(reference.to_vec()), alpha)
+}
+
+/// [`two_sample_ks`] against a reference whose ECDF is already built,
+/// so a KS profile that tests many samples against one steady-state
+/// reference sorts that reference once.
+pub fn two_sample_ks_against(sample: &[f64], reference: &Ecdf, alpha: f64) -> KsOutcome {
     let s = Ecdf::new(sample.to_vec());
-    let r = Ecdf::new(reference.to_vec());
-    let statistic = ks_statistic(&s, &r);
-    let threshold = ks_critical_value(s.len(), r.len(), alpha);
+    let statistic = ks_statistic(&s, reference);
+    let threshold = ks_critical_value(s.len(), reference.len(), alpha);
     KsOutcome {
         statistic,
         threshold,
@@ -147,6 +172,77 @@ mod tests {
         // Symmetric in n and m.
         assert!(
             (ks_critical_value(50, 200, 0.05) - ks_critical_value(200, 50, 0.05)).abs() < 1e-15
+        );
+    }
+
+    /// The statistic by binary search: both ECDFs evaluated afresh at
+    /// every observation point of both samples.
+    fn binary_search_statistic(sample: &Ecdf, reference: &Ecdf) -> f64 {
+        let mut sup: f64 = 0.0;
+        let n = sample.len() as f64;
+        for (i, &x) in sample.values().iter().enumerate() {
+            let f_ref = reference.eval_interpolated(x);
+            sup = sup.max((sample.eval(x) - f_ref).abs());
+            sup = sup.max((i as f64 / n - f_ref).abs());
+        }
+        for &x in reference.values() {
+            sup = sup.max((sample.eval(x) - reference.eval_interpolated(x)).abs());
+        }
+        sup
+    }
+
+    /// A uniform draw from `0..k` off a 64-bit LCG.
+    fn lcg(state: &mut u64, k: u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (*state >> 33) % k
+    }
+
+    #[test]
+    fn sweep_equals_binary_search_bit_for_bit() {
+        let mut state = 0x0005_DEEC_E66D_u64;
+        for case in 0..400 {
+            // Values on a coarse grid make ties within and across the
+            // two samples common; sizes include n = 1 on either side.
+            let grid = [3, 10, 1000][case % 3];
+            let scale = [1.0, 1e-3, 0.37][case % 5 % 3];
+            let n = if case % 7 == 0 {
+                1
+            } else {
+                1 + lcg(&mut state, 60)
+            };
+            let m = if case % 11 == 0 {
+                1
+            } else {
+                1 + lcg(&mut state, 300)
+            };
+            let mut draw = |len: u64| -> Ecdf {
+                Ecdf::new(
+                    (0..len)
+                        .map(|_| lcg(&mut state, grid) as f64 * scale - 0.5)
+                        .collect(),
+                )
+            };
+            let (a, b) = (draw(n), draw(m));
+            let swept = ks_statistic(&a, &b);
+            let searched = binary_search_statistic(&a, &b);
+            assert_eq!(
+                swept.to_bits(),
+                searched.to_bits(),
+                "case {case}: n={n} m={m} sweep {swept} vs search {searched}"
+            );
+        }
+    }
+
+    #[test]
+    fn prebuilt_reference_matches_two_sample_ks() {
+        let sample = vec![0.3, 0.1, 0.1, 0.7];
+        let reference = uniform_grid(50, 0.0, 1.0);
+        let ecdf = Ecdf::new(reference.clone());
+        assert_eq!(
+            two_sample_ks_against(&sample, &ecdf, 0.05),
+            two_sample_ks(&sample, &reference, 0.05)
         );
     }
 

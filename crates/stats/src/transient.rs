@@ -9,7 +9,8 @@
 //! rule — "the first packet whose average access delay lays within
 //! (tolerance) of the expected access delay in steady-state conditions".
 
-use crate::ks::{two_sample_ks, KsOutcome};
+use crate::ecdf::Ecdf;
+use crate::ks::{two_sample_ks_against, KsOutcome};
 use crate::online::OnlineStats;
 use crate::p2::P2Quantile;
 
@@ -155,11 +156,13 @@ impl IndexedSeries {
 
     /// KS-test every index against a reference sample (§4, Figs 8/9):
     /// returns one [`KsOutcome`] per index, comparing the per-index
-    /// sample (step ECDF) with the reference (interpolated ECDF).
+    /// sample (step ECDF) with the reference (interpolated ECDF). The
+    /// reference is sorted once for the whole profile.
     pub fn ks_profile(&self, reference: &[f64], alpha: f64) -> Vec<KsOutcome> {
+        let reference = Ecdf::new(reference.to_vec());
         self.samples
             .iter()
-            .map(|s| two_sample_ks(s, reference, alpha))
+            .map(|s| two_sample_ks_against(s, &reference, alpha))
             .collect()
     }
 
